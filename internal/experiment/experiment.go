@@ -458,10 +458,11 @@ func PredictT(spec workload.Spec, flavor kernel.Flavor, seed uint32,
 	return predictWith(spec, flavor, seed, kernel.StreamConfig{}, 0, reg, extra...)
 }
 
-// PredictWith is Predict under a drain configuration: the trace flows
-// through the epoch-ring streaming path — compressed on the wire when
-// stream.Compress is set — with the analysis running on the consumer
-// goroutine instead of charging stop-the-world analysis cycles.
+// PredictWith is Predict under a drain configuration: an enabled
+// stream charges the machine the epoch ring's handoff and stalls
+// instead of stop-the-world analysis cycles, and compresses each epoch
+// on the wire when stream.Compress is set. The analysis runs on the
+// ring's consumer goroutine under either drain.
 func PredictWith(spec workload.Spec, flavor kernel.Flavor, seed uint32,
 	stream kernel.StreamConfig) (*Predicted, error) {
 	return predictWith(spec, flavor, seed, stream, 0, nil)
@@ -538,9 +539,9 @@ func predictWith(spec workload.Spec, flavor kernel.Flavor, seed uint32,
 		}
 	}
 	sys.OnTrace = func(words []uint32) {
-		// Nests under the kernel host's trace_drain span (or the
-		// streaming consumer's epoch span): the memory-system analysis
-		// share of each drain is visible per epoch.
+		// Nests under the epoch-ring consumer's stream_consume span,
+		// on the consumer goroutine: the memory-system analysis share
+		// of each drain is visible per epoch, overlapping machine_run.
 		asp := obs.Begin("trace_analysis")
 		defer asp.End()
 		if !compressed {
@@ -556,6 +557,7 @@ func predictWith(spec workload.Spec, flavor kernel.Flavor, seed uint32,
 		}
 		events += uint64(len(evs))
 		sim.Events(evs)
+		buf = evs[:0] // keep the grown buffer for the next epoch
 	}
 	if err := sys.Run(runBudget); err != nil {
 		return nil, fmt.Errorf("predict %s/%v: %w", spec.Name, flavor, err)

@@ -215,3 +215,43 @@ func TestPageMappingVarianceMeanFraction(t *testing.T) {
 		t.Errorf("SystemFraction = %v out of (0, 1)", res.SystemFraction)
 	}
 }
+
+// TestConcurrentPredictSameImage: conformance-checked traced
+// predictions of one image share its cached CFGs (kernel and program),
+// so the checkers must only ever read them. Several run at once, on
+// the same spec, flavor and seed, and must agree exactly. The Runner
+// would deduplicate identical keys, so the goroutines call Predict
+// directly. Under -race a CFG written by a checker fails here.
+func TestConcurrentPredictSameImage(t *testing.T) {
+	spec := specsFor(t, "sed")[0]
+	const n = 4
+	preds := make([]*experiment.Predicted, n)
+	errs := make([]error, n)
+	var wg sync.WaitGroup
+	for i := range preds {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			preds[i], errs[i] = experiment.Predict(spec, kernel.Ultrix, 1)
+		}()
+	}
+	wg.Wait()
+	for i, p := range preds {
+		if errs[i] != nil {
+			t.Fatalf("predict %d: %v", i, errs[i])
+		}
+		if !p.Conformance.Clean() {
+			t.Errorf("predict %d: conformance diagnostics: %v", i, p.Conformance.Diags)
+		}
+		if p.Conformance.Records == 0 {
+			t.Errorf("predict %d: conformance checked no records", i)
+		}
+		a, b := preds[0], p
+		if a.Cycles != b.Cycles || a.MemStalls != b.MemStalls || a.UTLBMisses != b.UTLBMisses ||
+			a.Events != b.Events || a.TraceWords != b.TraceWords || a.TracedCycles != b.TracedCycles ||
+			!reflect.DeepEqual(a.Conformance, b.Conformance) {
+			t.Errorf("predict %d differs from predict 0: cycles %d/%d, stalls %d/%d, events %d/%d",
+				i, b.Cycles, a.Cycles, b.MemStalls, a.MemStalls, b.Events, a.Events)
+		}
+	}
+}

@@ -37,8 +37,10 @@ type BootConfig struct {
 	TLBDropin       bool
 	DiskImage       []byte
 	AnalysisPerWord uint64 // analysis-phase cycles charged per trace word
-	// Stream enables the epoch-ring streaming drain (see stream.go);
-	// the zero value keeps the legacy stop-the-world two-phase drain.
+	// Stream selects the drain's charge model (see stream.go): the
+	// zero value charges the paper's stop-the-world two-phase
+	// analysis, an enabled config the overlapped epoch ring. Both
+	// drains run the analysis on the same host-side consumer.
 	Stream StreamConfig
 	// Engine pins the CPU execution tier for the whole boot. The zero
 	// value keeps the machine default (predecode + superblocks); the
@@ -104,7 +106,13 @@ type System struct {
 	Cfg    BootConfig
 
 	// OnTrace receives each drained batch of raw trace words (the
-	// analysis program of Figure 1).
+	// analysis program of Figure 1), in doorbell order. It runs on the
+	// epoch-ring consumer goroutine, concurrently with the machine,
+	// under either drain: it must not touch the machine or System
+	// state, and the words are valid only during the call (the slice
+	// is a recycled ring slot — copy what must outlive it). Every
+	// delivery happens before Run returns, so results accumulated
+	// here are safe to read once Run has returned.
 	OnTrace func(words []uint32)
 
 	// OnEpoch receives each epoch exactly as handed off on the wire —
@@ -112,7 +120,8 @@ type System struct {
 	// the decoded words. Only invoked under a streaming drain with
 	// Compress enabled; consumers that decode for themselves (the
 	// conformance checker's CheckCompressed) attach here so the wire
-	// format is exercised end to end.
+	// format is exercised end to end. Same goroutine and lifetime
+	// contract as OnTrace.
 	OnEpoch func(enc []byte)
 
 	DrainedWords uint64
@@ -121,8 +130,9 @@ type System struct {
 	// (corrupt bookkeeping); decode failures on the consumer side are
 	// counted in StreamStats.DecodeErrors.
 	DrainErrors uint64
-	// StreamStats accumulates epoch-ring accounting when Cfg.Stream is
-	// enabled (stable once Run returns).
+	// StreamStats accumulates the streaming charge model's accounting
+	// when Cfg.Stream is enabled; zero under the two-phase drain
+	// (stable once Run returns).
 	StreamStats StreamStats
 
 	tel    *sysTelemetry
@@ -371,32 +381,27 @@ func Boot(kernelExe *obj.Executable, procs []BootProc, cfg BootConfig) (*System,
 		if s.tel != nil {
 			pid = s.ReadKernelWord("curpid")
 		}
-		if s.stream != nil {
-			return s.stream.handoff(reason, pid, n, mach.Cycles())
+		st := s.stream
+		if st == nil {
+			// A doorbell rung outside Run (a host tool draining the
+			// buffer by hand) gets a ring for this one epoch; closing
+			// it delivers the epoch before the handler returns.
+			st = newStreamer(s)
+			defer st.close()
 		}
-		words := make([]uint32, n)
-		for i := uint32(0); i < n; i++ {
-			words[i] = binary.BigEndian.Uint32(ram[s.tbufPA+i*4:])
-		}
-		if s.tel != nil {
-			s.tel.record(reason, pid, words)
-		}
-		if s.OnTrace != nil {
-			s.OnTrace(words)
-		}
-		return uint64(n) * cfg.AnalysisPerWord
+		return st.handoff(reason, pid, n, mach.Cycles())
 	}
 	return s, nil
 }
 
 // Run executes until the machine halts or the instruction budget is
-// exhausted. With streaming enabled the epoch-ring consumer runs for
-// the duration of the call and is joined before Run returns, so every
-// OnTrace delivery happens-before the caller reads its results.
+// exhausted. On a traced system the epoch-ring consumer runs for the
+// duration of the call and is joined before Run returns, so every
+// OnEpoch/OnTrace delivery happens-before the caller reads its results.
 func (s *System) Run(maxInstr uint64) error {
 	sp := obs.BeginDetail("machine_run", s.Cfg.Flavor.String())
 	defer sp.End()
-	if s.Cfg.Stream.Enabled() && s.Cfg.TraceBufBytes > 0 {
+	if s.Cfg.TraceBufBytes > 0 {
 		s.stream = newStreamer(s)
 		defer func() {
 			st := s.stream

@@ -4,51 +4,62 @@ import (
 	"encoding/binary"
 	"fmt"
 	"sync"
+	"sync/atomic"
 
 	"systrace/internal/obs"
 	"systrace/internal/trace"
 )
 
-// Epoch-ring streaming drain.
+// The epoch ring: the one drain path.
 //
-// The two-phase design charges the whole buffer's analysis time to the
-// machine at every doorbell: generation and analysis strictly
-// alternate, as in the paper's Figure 1. The streaming drain instead
-// treats each filled buffer as one *epoch* of a ring: the doorbell
-// handler copies the epoch out (optionally compressing it with the
-// internal/trace stream codec), hands it to a consumer goroutine that
-// runs the analysis program while the kernel is already generating the
-// next epoch, and charges the machine only the handoff cost plus any
-// stall waiting for a free ring slot.
+// Every traced System.Run starts a ring. At each doorbell the handler
+// copies the filled buffer — one *epoch* — into a free ring slot
+// (optionally compressing it with the internal/trace stream codec)
+// and hands it to a consumer goroutine, which records telemetry and
+// runs the attached analysis program (OnEpoch, OnTrace) while the
+// kernel is already generating the next epoch. Two drains share this
+// path and differ only in what they charge the simulated machine:
 //
-// The handoff is sound for the same reason the two-phase drain is: the
-// kernel only rings the doorbell from the §3.3 safe points (the trace
-// buffer's soft-limit check and the final flush), where no trace store
-// is in flight and the bookkeeping word is consistent, so the epoch is
-// a self-contained prefix of the stream. The consumer sees epochs in
-// doorbell order over a FIFO channel, which is exactly the order the
-// two-phase analysis saw them — the analysis program's input is
-// byte-identical, only its timing overlaps generation.
+//   - Two-phase (Cfg.Stream disabled, the paper's Figure 1): the whole
+//     epoch's analysis, words*AnalysisPerWord, stop-the-world at every
+//     doorbell. Generation and analysis strictly alternate in
+//     simulated time; the host still overlaps them, because nothing in
+//     the machine depends on when the analysis actually runs.
+//   - Streaming (Cfg.Stream enabled): only the handoff cost plus any
+//     stall waiting for a free ring slot, from the analytic queue
+//     below.
 //
-// Simulated time stays deterministic: the ring is modeled analytically
-// with a completion-time queue. Epoch k's analysis completes at
+// The handoff is sound for the same reason the paper's two-phase drain
+// is: the kernel only rings the doorbell from the §3.3 safe points
+// (the trace buffer's soft-limit check and the final flush), where no
+// trace store is in flight and the bookkeeping word is consistent, so
+// the epoch is a self-contained prefix of the stream. The consumer sees
+// epochs in doorbell order over a FIFO channel — the analysis
+// program's input is byte-identical whichever drain charges the clock.
+//
+// Simulated time stays deterministic: the streaming ring is modeled
+// analytically with a completion-time queue. Epoch k's analysis
+// completes at
 //
 //	done(k) = max(handed(k), done(k-1)) + words(k)*AnalysisPerWord
 //
 // and the producer stalls only when all Epochs-1 in-flight slots are
-// still busy at handoff time. The real consumer goroutine does the
-// actual host-side work (decode, conformance, memsys simulation)
-// concurrently, but contributes nothing to machine time — its modeled
-// cycles are recorded on the machine's overlapped-analysis counter so
-// the generation/analysis duty cycle stays observable.
+// still busy at handoff time. The consumer goroutine's real host time
+// contributes nothing to machine time under either drain; under the
+// streaming drain the modeled analysis cycles are recorded on the
+// machine's overlapped-analysis counter so the generation/analysis
+// duty cycle stays observable.
 
-// StreamConfig configures the epoch-ring streaming drain. The zero
-// value disables it (legacy stop-the-world two-phase analysis).
+// StreamConfig selects the drain's charge model. The zero
+// value keeps the two-phase charge (stop-the-world analysis at every
+// doorbell); either way the epochs travel the same host-side ring.
 type StreamConfig struct {
-	// Epochs is the ring depth: the number of trace-buffer-sized
-	// epochs that may be in flight (one filling, the rest draining or
-	// being analyzed). Values below 2 disable streaming — a one-slot
-	// ring is the two-phase design.
+	// Epochs is the modeled ring depth: the number of
+	// trace-buffer-sized epochs that may be in flight in simulated
+	// time (one filling, the rest draining or being analyzed). Values
+	// below 2 select the two-phase charge — a one-slot ring is the
+	// two-phase design. The host ring has this many slots when
+	// streaming.
 	Epochs int
 	// HandoffPerWord is the machine cycles charged per trace word to
 	// hand a filled epoch to the consumer (the copy out of the trace
@@ -60,7 +71,8 @@ type StreamConfig struct {
 	Compress bool
 }
 
-// Enabled reports whether the configuration turns streaming on.
+// Enabled reports whether the configuration selects the streaming
+// charge model.
 func (c StreamConfig) Enabled() bool { return c.Epochs >= 2 }
 
 // DefaultStream returns the standard streaming configuration: a
@@ -69,10 +81,11 @@ func DefaultStream() StreamConfig {
 	return StreamConfig{Epochs: 4, HandoffPerWord: 1, Compress: true}
 }
 
-// StreamStats accumulates one run's streaming-drain accounting.
-// Producer-side fields (Epochs..EncodedBytes) are updated by the
-// doorbell handler on the machine's goroutine; DecodeErrors is owned by
-// the consumer and is stable once Run returns (Run joins the consumer).
+// StreamStats accumulates one run's streaming-drain accounting; it
+// stays zero under the two-phase drain. Producer-side fields
+// (Epochs..EncodedBytes) are updated by the doorbell handler on the
+// machine's goroutine; DecodeErrors is owned by the consumer and is
+// stable once Run returns (Run joins the consumer).
 type StreamStats struct {
 	Epochs       uint64 // epochs handed to the consumer
 	StallCycles  uint64 // machine cycles stalled waiting for a ring slot
@@ -90,16 +103,29 @@ type epochBuf struct {
 	pid    uint32   // pid current at drain time (telemetry attribution)
 }
 
+// twoPhaseSlots is the host ring depth under the two-phase drain:
+// double buffering, so the consumer analyzes one epoch while the
+// machine generates the next. It is host-side only and never appears
+// in simulated time, which charges the two-phase drain as if the
+// analysis ran in series.
+const twoPhaseSlots = 2
+
 // streamer runs one epoch ring for the duration of one System.Run.
 type streamer struct {
 	sys *System
-	cfg StreamConfig
+	cfg StreamConfig // zero under the two-phase drain
 
 	free chan *epochBuf // ring slots available to the producer
 	work chan *epochBuf // filled epochs in doorbell order
 	wg   sync.WaitGroup
 
 	enc *trace.Encoder // producer-side encoder (Compress mode)
+
+	// An analysis panic on the consumer: perr is written before failed
+	// is set, and re-raised on the machine's goroutine (rethrown once).
+	failed   atomic.Bool
+	perr     any
+	rethrown bool
 
 	// Analytic ring model: completion times of in-flight epochs
 	// (sorted; at most Epochs-1 entries) and the previous epoch's
@@ -109,13 +135,15 @@ type streamer struct {
 }
 
 func newStreamer(s *System) *streamer {
-	st := &streamer{
-		sys:  s,
-		cfg:  s.Cfg.Stream,
-		free: make(chan *epochBuf, s.Cfg.Stream.Epochs),
-		work: make(chan *epochBuf, s.Cfg.Stream.Epochs),
+	st := &streamer{sys: s}
+	slots := twoPhaseSlots
+	if s.Cfg.Stream.Enabled() {
+		st.cfg = s.Cfg.Stream
+		slots = st.cfg.Epochs
 	}
-	for i := 0; i < st.cfg.Epochs; i++ {
+	st.free = make(chan *epochBuf, slots)
+	st.work = make(chan *epochBuf, slots)
+	for i := 0; i < slots; i++ {
 		st.free <- &epochBuf{}
 	}
 	if st.cfg.Compress {
@@ -127,10 +155,15 @@ func newStreamer(s *System) *streamer {
 }
 
 // handoff copies the n-word epoch out of the trace buffer, hands it to
-// the consumer, and returns the machine cycles to charge (handoff cost
-// plus any modeled stall for a ring slot). Runs on the machine's
-// goroutine inside the doorbell handler.
+// the consumer, and returns the machine cycles to charge: the whole
+// analysis under the two-phase drain, the handoff cost plus any
+// modeled stall for a ring slot under the streaming drain. Runs on the
+// machine's goroutine inside the doorbell handler.
 func (st *streamer) handoff(reason, pid uint32, n uint32, now uint64) uint64 {
+	if st.failed.Load() {
+		st.rethrown = true
+		panic(st.perr)
+	}
 	s := st.sys
 	b := <-st.free // real backpressure: memory is bounded by the ring depth
 	b.reason, b.pid = reason, pid
@@ -147,10 +180,13 @@ func (st *streamer) handoff(reason, pid uint32, n uint32, now uint64) uint64 {
 		s.StreamStats.EncodedBytes += uint64(len(b.enc))
 	}
 	st.work <- b
+	if !st.cfg.Enabled() {
+		return uint64(n) * s.Cfg.AnalysisPerWord
+	}
 
 	// Analytic accounting on the deterministic machine clock.
-	st.sys.StreamStats.Epochs++
-	st.sys.StreamStats.RawBytes += uint64(n) * 4
+	s.StreamStats.Epochs++
+	s.StreamStats.RawBytes += uint64(n) * 4
 	handoff := uint64(n) * st.cfg.HandoffPerWord
 	t := now + handoff
 	for len(st.compl) > 0 && st.compl[0] <= t {
@@ -176,57 +212,75 @@ func (st *streamer) handoff(reason, pid uint32, n uint32, now uint64) uint64 {
 	return handoff + stall
 }
 
-// consume is the analysis side of the ring: decode (if compressed),
-// record telemetry, run the attached analysis program, return the slot.
+// consume is the analysis side of the ring: analyze each epoch in
+// doorbell order and return its slot.
 func (st *streamer) consume() {
 	defer st.wg.Done()
-	s := st.sys
 	var dec *trace.Decoder
 	if st.cfg.Compress {
 		dec = trace.NewDecoder()
 	}
 	var scratch []uint32
 	for b := range st.work {
-		sp := obs.Begin("stream_consume")
-		if s.OnEpoch != nil && dec != nil {
-			s.OnEpoch(b.enc)
-		}
-		words := b.words
-		if dec != nil {
-			// Decode only when something consumes the words; an
-			// OnEpoch-only consumer decodes for itself.
-			if s.tel == nil && s.OnTrace == nil {
-				st.free <- b
-				sp.End()
-				continue
-			}
-			var err error
-			scratch, err = dec.Decode(b.enc, scratch[:0])
-			if err != nil {
-				s.StreamStats.DecodeErrors++
-				obs.Failure("trace_stream_decode",
-					fmt.Sprintf("epoch of %d words: %v", len(b.words), err))
-				st.free <- b
-				sp.End()
-				continue
-			}
-			words = scratch
-		}
-		if s.tel != nil {
-			s.tel.record(b.reason, b.pid, words)
-		}
-		if s.OnTrace != nil {
-			s.OnTrace(words)
+		if !st.failed.Load() {
+			scratch = st.deliver(b, dec, scratch)
 		}
 		st.free <- b
-		sp.End()
 	}
+}
+
+// deliver analyzes one epoch: decode (if compressed), record
+// telemetry, run the attached analysis program. A panic in the
+// analysis is kept and re-raised on the machine's goroutine (at the
+// next handoff, or when the ring closes), where a serial analysis
+// would have raised it; later epochs are then only recycled.
+func (st *streamer) deliver(b *epochBuf, dec *trace.Decoder, scratch []uint32) []uint32 {
+	sp := obs.Begin("stream_consume")
+	defer sp.End()
+	defer func() {
+		if r := recover(); r != nil {
+			st.perr = r
+			st.failed.Store(true)
+		}
+	}()
+	s := st.sys
+	if s.OnEpoch != nil && dec != nil {
+		s.OnEpoch(b.enc)
+	}
+	words := b.words
+	if dec != nil {
+		// Decode only when something consumes the words; an
+		// OnEpoch-only consumer decodes for itself.
+		if s.tel == nil && s.OnTrace == nil {
+			return scratch
+		}
+		var err error
+		scratch, err = dec.Decode(b.enc, scratch[:0])
+		if err != nil {
+			s.StreamStats.DecodeErrors++
+			obs.Failure("trace_stream_decode",
+				fmt.Sprintf("epoch of %d words: %v", len(b.words), err))
+			return scratch
+		}
+		words = scratch
+	}
+	if s.tel != nil {
+		s.tel.record(b.reason, b.pid, words)
+	}
+	if s.OnTrace != nil {
+		s.OnTrace(words)
+	}
+	return scratch
 }
 
 // close stops the consumer after all handed-off epochs are analyzed.
 // Returning establishes the happens-before the caller needs to read
-// analysis results.
+// analysis results; an analysis panic not yet re-raised by handoff is
+// re-raised here.
 func (st *streamer) close() {
 	close(st.work)
 	st.wg.Wait()
+	if st.failed.Load() && !st.rethrown {
+		panic(st.perr)
+	}
 }

@@ -387,3 +387,44 @@ func TestStreamingDrainOverlap(t *testing.T) {
 		two.M.Cycles(), two.M.ExtraCycles(), st.M.Cycles(), st.M.ExtraCycles(),
 		st.M.OverlapCycles(), st.StreamStats.StallCycles)
 }
+
+// TestAnalysisPanicReachesRun: the analysis program runs on the
+// epoch-ring consumer, but a panic in it must surface on the caller's
+// goroutine — from Run, or from a doorbell rung by hand — as it did
+// when the analysis ran inline, and the machine must not deadlock on
+// a ring the dead analysis no longer drains.
+func TestAnalysisPanicReachesRun(t *testing.T) {
+	recovered := func(f func()) (r any) {
+		defer func() { r = recover() }()
+		f()
+		return nil
+	}
+	data, _ := testData()
+	for name, sc := range map[string]kernel.StreamConfig{
+		"two_phase": {},
+		"stream":    kernel.DefaultStream(),
+	} {
+		t.Run(name, func(t *testing.T) {
+			sys := tracedFilesum(t, data, 8, sc)
+			epochs := 0
+			sys.OnTrace = func([]uint32) {
+				epochs++
+				panic("analysis failed")
+			}
+			r := recovered(func() { _ = sys.Run(2_000_000_000) })
+			if r != "analysis failed" {
+				t.Fatalf("Run recovered %v, want the analysis panic", r)
+			}
+			if epochs != 1 {
+				t.Errorf("analysis ran %d times after panicking, want 1", epochs)
+			}
+		})
+	}
+
+	sys := bootHarness(t, 4<<20)
+	sys.OnTrace = func([]uint32) { panic("by hand") }
+	fillTraceWords(sys, []uint32{0x00400010})
+	if r := recovered(func() { sys.M.TraceCtl.Handler(dev.DoorbellBufferFull) }); r != "by hand" {
+		t.Fatalf("doorbell recovered %v, want the analysis panic", r)
+	}
+}

@@ -187,7 +187,12 @@ func (r *rng) next() uint32 {
 // of Table 3's prediction error.
 type TLBSim struct {
 	entries [cpu.NTLB]uint64 // (asid<<32 | vpn), ^0 = invalid
-	r       *rng
+	// hint maps a key hash to the slot that last held a key with that
+	// hash. Valid keys are unique in entries (a key is only filled on
+	// a miss), so checking the hinted slot before the full scan
+	// changes no hit, miss or replacement.
+	hint [tlbHints]uint8
+	r    *rng
 
 	Accesses uint64
 	Misses   uint64
@@ -207,17 +212,27 @@ func NewTLBSim(seed uint32) *TLBSim {
 // replaced. Reports hit.
 func (t *TLBSim) Access(asid uint32, va uint32) bool {
 	t.Accesses++
-	key := uint64(asid)<<32 | uint64(va>>cpu.PageShift)
+	vpn := va >> cpu.PageShift
+	key := uint64(asid)<<32 | uint64(vpn)
+	h := &t.hint[(vpn^asid)&(tlbHints-1)]
+	if t.entries[*h] == key {
+		return true
+	}
 	for i := range t.entries {
 		if t.entries[i] == key {
+			*h = uint8(i)
 			return true
 		}
 	}
 	t.Misses++
 	idx := cpu.TLBWired + int(t.r.next()%(cpu.NTLB-cpu.TLBWired))
 	t.entries[idx] = key
+	*h = uint8(idx)
 	return false
 }
+
+// tlbHints is the number of TLBSim hint slots (a power of two).
+const tlbHints = 64
 
 // Flush invalidates all entries (context-switch-free ASIDs make this
 // rare; provided for completeness).
@@ -252,25 +267,45 @@ type PageMap struct {
 	r      *rng
 	next   uint32
 	m      map[uint64]uint32
+	// memo is a direct-mapped cache in front of m. A page's frame
+	// never changes once assigned, so a memo hit is always exact.
+	memo [pageMemoSize]pageMemo
+}
+
+// pageMemoSize is the number of PageMap memo slots (a power of two).
+const pageMemoSize = 64
+
+type pageMemo struct {
+	key   uint64 // (asid<<32 | vpage), ^0 = empty
+	frame uint32
 }
 
 // NewPageMap builds a map over nframe frames; colors is the number of
 // page colors in the cache (cacheSize/pageSize) for PolicyColoring.
 func NewPageMap(policy PagePolicy, nframe, colors uint32, seed uint32) *PageMap {
-	return &PageMap{
+	p := &PageMap{
 		policy: policy,
 		nframe: nframe,
 		colors: colors,
 		r:      newRNG(seed),
 		m:      map[uint64]uint32{},
 	}
+	for i := range p.memo {
+		p.memo[i].key = ^uint64(0)
+	}
+	return p
 }
 
 // Frame returns the physical frame for (asid, vpage), assigning one on
 // first touch.
 func (p *PageMap) Frame(asid uint32, vpage uint32) uint32 {
 	key := uint64(asid)<<32 | uint64(vpage)
+	slot := &p.memo[(vpage^asid)&(pageMemoSize-1)]
+	if slot.key == key {
+		return slot.frame
+	}
 	if f, ok := p.m[key]; ok {
+		slot.key, slot.frame = key, f
 		return f
 	}
 	var f uint32
@@ -286,5 +321,6 @@ func (p *PageMap) Frame(asid uint32, vpage uint32) uint32 {
 		f %= p.nframe
 	}
 	p.m[key] = f
+	slot.key, slot.frame = key, f
 	return f
 }

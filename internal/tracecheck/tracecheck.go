@@ -68,6 +68,22 @@ var Rules = []string{
 	RuleNest, RuleSched, RuleEpoch, RuleSpecial,
 }
 
+// rule indexes Rules. The word path counts checks per index; Finish
+// folds the counts into Result.Checks.
+type rule int
+
+const (
+	ruleRecord rule = iota
+	ruleCFGEdge
+	ruleMemCount
+	ruleMemAddr
+	ruleNest
+	ruleSched
+	ruleEpoch
+	ruleSpecial
+	numRules
+)
+
 // Diag is one conformance finding.
 type Diag struct {
 	Offset int    `json:"offset"` // word index in the stream (across Check calls)
@@ -142,6 +158,23 @@ type space struct {
 	cfg   *verify.CFG
 	entry expectSet // expectation for the stream's first record
 	st    streamState
+	// memo holds this checker's cfg.Reach results, so a CFG shared
+	// with concurrent checkers is only ever read.
+	memo map[uint32]*verify.ReachSet
+}
+
+func newSpace(g *verify.CFG) *space {
+	return &space{cfg: g, memo: make(map[uint32]*verify.ReachSet)}
+}
+
+// reach is cfg.Reach, memoized on the space.
+func (sp *space) reach(addr uint32) *verify.ReachSet {
+	s, ok := sp.memo[addr]
+	if !ok {
+		s = sp.cfg.Reach(addr)
+		sp.memo[addr] = s
+	}
+	return s
 }
 
 // frame saves the kernel stream context across a nested exception,
@@ -181,7 +214,8 @@ type Checker struct {
 	dec      *trace.Decoder
 	decWords []uint32
 
-	res *Result
+	checks [numRules]int
+	res    *Result
 }
 
 // New builds a checker for a stream with no kernel (bare-runtime
@@ -207,13 +241,14 @@ func (c *Checker) SetKernel(e *obj.Executable) error {
 	return nil
 }
 
-// SetKernelCFG is SetKernel for an already-derived CFG (shared across
-// checkers; note a CFG memoizes in place and is not goroutine-safe).
+// SetKernelCFG is SetKernel for an already-derived CFG, which may be
+// shared with other checkers, including concurrent ones.
 func (c *Checker) SetKernelCFG(g *verify.CFG) {
-	sp := &space{cfg: g, entry: top()}
+	sp := newSpace(g)
+	sp.entry = top()
 	sp.st.exp = sp.entry
 	if addr, ok := g.Exe.Symbol("kentry"); ok {
-		c.kentry = expectSet{a: g.Reach(addr)}
+		c.kentry = expectSet{a: sp.reach(addr)}
 	}
 	c.kernel = sp
 	c.inKern = true
@@ -230,9 +265,11 @@ func (c *Checker) AddProcess(pid int, e *obj.Executable) error {
 	return nil
 }
 
-// AddProcessCFG is AddProcess for an already-derived CFG.
+// AddProcessCFG is AddProcess for an already-derived CFG (shareable,
+// as for SetKernelCFG).
 func (c *Checker) AddProcessCFG(pid int, g *verify.CFG) {
-	sp := &space{cfg: g, entry: expectSet{a: g.Reach(g.Exe.Entry)}}
+	sp := newSpace(g)
+	sp.entry = expectSet{a: sp.reach(g.Exe.Entry)}
 	sp.st.exp = sp.entry
 	c.procs[pid] = sp
 }
@@ -251,7 +288,7 @@ func (c *Checker) curSpace() int {
 	return c.cur
 }
 
-func (c *Checker) check(rule string) { c.res.Checks[rule]++ }
+func (c *Checker) check(r rule) { c.checks[r]++ }
 
 func (c *Checker) diag(block uint32, rule, format string, args ...any) {
 	if len(c.res.Diags) >= maxDiags {
@@ -325,7 +362,7 @@ func (c *Checker) word(w uint32) {
 		sp := c.space()
 		if sp == nil || sp.cfg.ByRecord[w] == nil {
 			c.dirt++
-			c.check(RuleEpoch)
+			c.check(ruleEpoch)
 			if !c.dirtFlagged && c.kernel != nil && c.dirt > c.kernel.cfg.MaxMem {
 				c.dirtFlagged = true
 				c.diag(0, RuleEpoch,
@@ -338,7 +375,7 @@ func (c *Checker) word(w uint32) {
 	}
 	sp := c.space()
 	if sp == nil {
-		c.check(RuleSched)
+		c.check(ruleSched)
 		if !c.schedMute[c.cur] {
 			c.schedMute[c.cur] = true
 			c.diag(0, RuleSched, "trace words attributed to unknown address space %d", c.curSpace())
@@ -358,7 +395,7 @@ func (c *Checker) memRef(sp *space, w uint32) {
 	st := &sp.st
 	m := st.open.Info.Mem[st.mem]
 	c.res.MemRefs++
-	c.check(RuleMemAddr)
+	c.check(ruleMemAddr)
 	switch m.Size {
 	case 2:
 		if w&1 != 0 {
@@ -378,7 +415,7 @@ func (c *Checker) memRef(sp *space, w uint32) {
 	}
 	// A kuseg process only ever references user addresses; kernel and
 	// bare (kseg0-linked) streams may touch anything.
-	c.check(RuleSched)
+	c.check(ruleSched)
 	if !c.inKern && e.TextBase < 0x80000000 && w >= 0x80000000 {
 		c.diag(origOf(st.open), RuleSched,
 			"user stream references kernel address 0x%08x", w)
@@ -402,7 +439,7 @@ func (c *Checker) record(sp *space, w uint32) {
 		st.resync = false
 		st.exp = top()
 	}
-	c.check(RuleRecord)
+	c.check(ruleRecord)
 	if n == nil {
 		c.diag(0, RuleRecord,
 			"0x%08x is not a record of address space %d", w, c.curSpace())
@@ -411,7 +448,7 @@ func (c *Checker) record(sp *space, w uint32) {
 	}
 	c.res.Records++
 
-	c.check(RuleCFGEdge)
+	c.check(ruleCFGEdge)
 	if !st.exp.has(w) {
 		c.diag(origOf(n), RuleCFGEdge,
 			"record 0x%08x (orig 0x%08x) is not a legal successor in this stream", w, n.Info.OrigAddr)
@@ -429,7 +466,7 @@ func (c *Checker) record(sp *space, w uint32) {
 
 // special checks the §3.5 special-block behaviors at a record.
 func (c *Checker) special(n *verify.CFGNode) {
-	c.check(RuleSpecial)
+	c.check(ruleSpecial)
 	fl := n.Info.Flags
 	if fl&obj.BBIdleLoop != 0 && !c.inKern {
 		c.diag(origOf(n), RuleSpecial, "idle-loop block recorded in a user stream")
@@ -455,17 +492,16 @@ func (c *Checker) special(n *verify.CFGNode) {
 // accepted block's terminator.
 func (c *Checker) advance(sp *space, n *verify.CFGNode) {
 	st := &sp.st
-	g := sp.cfg
 	switch n.Term {
 	case verify.TermFall:
-		st.exp = expectSet{a: g.Reach(n.Next)}
+		st.exp = expectSet{a: sp.reach(n.Next)}
 	case verify.TermBranch:
-		st.exp = expectSet{a: g.Reach(n.Target), b: g.Reach(n.Next)}
+		st.exp = expectSet{a: sp.reach(n.Target), b: sp.reach(n.Next)}
 	case verify.TermJump:
-		st.exp = expectSet{a: g.Reach(n.Target)}
+		st.exp = expectSet{a: sp.reach(n.Target)}
 	case verify.TermCall:
-		callee := g.Reach(n.Target)
-		ret := g.Reach(n.Next)
+		callee := sp.reach(n.Target)
+		ret := sp.reach(n.Next)
 		if !callee.Top && len(callee.Records) == 0 {
 			// Call into invisible code (a silent helper like
 			// idle_pause): no record, no visible return — the next
@@ -480,7 +516,7 @@ func (c *Checker) advance(sp *space, n *verify.CFGNode) {
 			st.exp = expectSet{a: callee, b: ret}
 		}
 	case verify.TermCallReg:
-		st.ret = append(st.ret, g.Reach(n.Next))
+		st.ret = append(st.ret, sp.reach(n.Next))
 		st.exp = top()
 	case verify.TermRet:
 		if len(st.ret) == 0 {
@@ -503,7 +539,7 @@ func (c *Checker) marker(w uint32) {
 		c.cur = int(trace.MarkerArg(w))
 		c.inKern = false
 	case trace.MarkKernEnter:
-		c.check(RuleNest)
+		c.check(ruleNest)
 		if c.inKern {
 			c.diag(0, RuleNest, "kernel-enter marker while already in kernel context")
 		}
@@ -512,7 +548,7 @@ func (c *Checker) marker(w uint32) {
 			c.kernel.st = streamState{exp: c.kentry}
 		}
 	case trace.MarkKernExit:
-		c.check(RuleNest)
+		c.check(ruleNest)
 		if !c.inKern {
 			c.diag(0, RuleNest, "kernel-exit marker while not in kernel context")
 		}
@@ -531,7 +567,7 @@ func (c *Checker) marker(w uint32) {
 		}
 		c.inKern = true
 	case trace.MarkExcExit:
-		c.check(RuleNest)
+		c.check(ruleNest)
 		if len(c.kstack) == 0 {
 			c.diag(0, RuleNest, "exception-exit marker with empty nesting stack")
 			return
@@ -548,7 +584,7 @@ func (c *Checker) marker(w uint32) {
 		}
 		c.inKern = fr.inKern
 	case trace.MarkModeSw:
-		c.check(RuleEpoch)
+		c.check(ruleEpoch)
 		if !c.inKern {
 			c.diag(0, RuleEpoch, "mode-switch marker outside kernel context")
 		}
@@ -567,7 +603,7 @@ func (c *Checker) marker(w uint32) {
 	case trace.MarkProcExit:
 		pid := int(trace.MarkerArg(w))
 		if sp := c.procs[pid]; sp != nil {
-			c.check(RuleMemCount)
+			c.check(ruleMemCount)
 			if sp.st.open != nil {
 				cp, ck := c.cur, c.inKern
 				c.cur, c.inKern = pid, false
@@ -580,7 +616,7 @@ func (c *Checker) marker(w uint32) {
 		}
 		delete(c.schedMute, pid)
 	default:
-		c.check(RuleEpoch)
+		c.check(ruleEpoch)
 		c.diag(0, RuleEpoch, "unknown marker 0x%08x", w)
 	}
 }
@@ -596,12 +632,12 @@ func (c *Checker) kernelState() streamState {
 // Finish checks end-of-stream invariants and returns the result. The
 // checker must not be used after Finish.
 func (c *Checker) Finish() *Result {
-	c.check(RuleNest)
+	c.check(ruleNest)
 	if len(c.kstack) > 0 {
 		c.diag(0, RuleNest, "stream ends inside %d open nested exception(s)", len(c.kstack))
 	}
 	if c.kernel != nil {
-		c.check(RuleMemCount)
+		c.check(ruleMemCount)
 		if s := &c.kernel.st; s.open != nil {
 			c.diag(origOf(s.open), RuleMemCount,
 				"kernel stream ends mid-block (%d of %d references seen)",
@@ -614,12 +650,17 @@ func (c *Checker) Finish() *Result {
 	}
 	sort.Ints(pids)
 	for _, pid := range pids {
-		c.check(RuleMemCount)
+		c.check(ruleMemCount)
 		if s := &c.procs[pid].st; s.open != nil {
 			c.cur, c.inKern = pid, false
 			c.diag(origOf(s.open), RuleMemCount,
 				"process %d stream ends mid-block (%d of %d references seen)",
 				pid, s.mem, len(s.open.Info.Mem))
+		}
+	}
+	for r, n := range c.checks {
+		if n > 0 {
+			c.res.Checks[Rules[r]] += n
 		}
 	}
 	sort.Slice(c.res.Diags, func(i, j int) bool {

@@ -107,8 +107,9 @@ func (s *ReachSet) Has(rec uint32) bool {
 }
 
 // CFG is the post-rewrite control-flow graph of one instrumented
-// executable. Reach memoizes its closures in place, so a CFG must not
-// be shared across goroutines.
+// executable. It is immutable once NewCFG returns, so one CFG may be
+// shared by concurrent checkers; callers that query Reach repeatedly
+// memoize it themselves.
 type CFG struct {
 	Exe *obj.Executable
 	// Nodes maps post-rewrite head addresses of recorded blocks.
@@ -122,7 +123,6 @@ type CFG struct {
 
 	bb, mt, mtsp uint32
 	hasSP        bool
-	memo         map[uint32]*ReachSet
 }
 
 // reachCap bounds the instruction closure of one Reach query; silent
@@ -160,7 +160,6 @@ func NewCFG(e *obj.Executable) (*CFG, error) {
 		mt:       mt,
 		mtsp:     mtsp,
 		hasSP:    okSP,
-		memo:     make(map[uint32]*ReachSet),
 	}
 	for i := range e.Instr.Blocks {
 		ib := &e.Instr.Blocks[i]
@@ -248,14 +247,10 @@ func (g *CFG) classify(n *CFGNode) {
 // enters addr. Entering a recorded block yields exactly its record;
 // entering silent code walks the instruction closure until recorded
 // blocks (collected), a silent return (MayReturn), or a dynamic
-// transfer (Top). Results are memoized on the CFG.
+// transfer (Top). Each call walks the closure afresh.
 func (g *CFG) Reach(addr uint32) *ReachSet {
-	if s, ok := g.memo[addr]; ok {
-		return s
-	}
 	s := g.reach(addr)
 	sort.Slice(s.Records, func(i, j int) bool { return s.Records[i] < s.Records[j] })
-	g.memo[addr] = s
 	return s
 }
 

@@ -3,9 +3,12 @@ package systrace_test
 // End-to-end smoke test of the observability layer: one traced sed
 // boot with the guest-PC sampler attached must leave a well-nested
 // phase-span timeline (system_boot, then machine_run with the
-// trace_drain analysis phases inside it) and a non-empty folded
-// profile that attributes samples to kernel functions. This is the
-// check scripts/check.sh runs as its obs smoke step.
+// trace_drain doorbells inside it and the epoch-ring consumer's
+// stream_consume spans beside it on their own goroutine) and a
+// non-empty folded profile that attributes samples to kernel
+// functions. A traced prediction's trace_analysis spans nest under
+// stream_consume. This is the check scripts/check.sh runs as its obs
+// smoke step.
 
 import (
 	"bytes"
@@ -75,6 +78,23 @@ func TestObsSmoke(t *testing.T) {
 		}
 	}
 
+	// The analysis program runs on the epoch-ring consumer: each
+	// doorbell's epoch is one stream_consume span, on a goroutine other
+	// than the machine's, inside machine_run.
+	consumes := byName["stream_consume"]
+	if uint64(len(consumes)) != sys.Doorbells {
+		t.Errorf("%d stream_consume spans for %d doorbells", len(consumes), sys.Doorbells)
+	}
+	for _, c := range consumes {
+		if c.GID == run.GID {
+			t.Errorf("stream_consume span %d on the machine goroutine %d", c.ID, run.GID)
+		}
+		if c.Open() || c.StartNs < run.StartNs || c.EndNs > run.EndNs {
+			t.Errorf("stream_consume span %d [%d,%d] not inside machine_run [%d,%d]",
+				c.ID, c.StartNs, c.EndNs, run.StartNs, run.EndNs)
+		}
+	}
+
 	if prof.Len() == 0 {
 		t.Fatal("profiler took no samples")
 	}
@@ -95,5 +115,44 @@ func TestObsSmoke(t *testing.T) {
 		if fields := strings.Fields(line); len(fields) != 2 {
 			t.Errorf("folded line %q is not \"stack value\"", line)
 		}
+	}
+
+	// A traced prediction's analysis nests under the consumer's
+	// per-epoch span, on the consumer goroutine, and overlaps the
+	// machine run that produced the epoch.
+	obspkg.Reset()
+	if _, err := experiment.Predict(spec, kernel.Ultrix, 1); err != nil {
+		t.Fatal(err)
+	}
+	tl = obspkg.Timeline()
+	byID := map[uint64]obspkg.SpanInfo{}
+	for _, s := range tl {
+		byID[s.ID] = s
+	}
+	analyses := 0
+	for _, a := range tl {
+		if a.Name != "trace_analysis" {
+			continue
+		}
+		analyses++
+		c := byID[a.Parent]
+		if c.Name != "stream_consume" || c.GID != a.GID {
+			t.Errorf("trace_analysis span %d: parent %q on goroutine %d, want stream_consume on %d",
+				a.ID, c.Name, c.GID, a.GID)
+			continue
+		}
+		inside := false
+		for _, r := range tl {
+			if r.Name == "machine_run" && r.GID != c.GID &&
+				r.StartNs <= c.StartNs && c.EndNs <= r.EndNs {
+				inside = true
+			}
+		}
+		if !inside {
+			t.Errorf("stream_consume span %d is not inside a machine_run on another goroutine", c.ID)
+		}
+	}
+	if analyses == 0 {
+		t.Error("traced prediction left no trace_analysis span")
 	}
 }

@@ -24,6 +24,9 @@ go test ./...
 echo "== go test -race (cpu core incl. superblock tier, kernel epoch ring, experiment runner, telemetry, obs, rewriter, verifiers) =="
 go test -race ./internal/cpu/ ./internal/kernel/ ./internal/experiment/ ./internal/telemetry/ ./internal/obs/ ./internal/epoxie/ ./internal/verify/ ./internal/tracecheck/ ./internal/dataflow/
 
+echo "== same-image concurrent predictions under -race (checkers sharing cached CFGs, 5 uncached runs) =="
+go test -race -count=5 -run '^TestConcurrentPredictSameImage$' ./internal/experiment/
+
 echo "== differential oracle (reference vs predecode vs superblock, traced + untraced boots, uncached) =="
 go test -run '^TestWorkloadDifferentialOracle$' -count=1 .
 
