@@ -264,15 +264,10 @@ type CPU struct {
 	// word of a device-streaming loop.
 	lastDevKey uint64
 
-	// Per-port observer flags, re-synced by Step when c.Obs changes
-	// nil-ness; they hoist the interface nil check out of every
+	// obsAny caches c.Obs != nil, re-synced by Step and StepN when c.Obs
+	// changes nil-ness; it hoists the interface nil check out of every
 	// fetch/load/store/exception/FP event.
-	obsAny   bool
-	obsFetch bool
-	obsLoad  bool
-	obsStore bool
-	obsExc   bool
-	obsFP    bool
+	obsAny bool
 
 	// Halted is set by the machine (e.g. final process exit) to stop
 	// Run loops.
@@ -364,7 +359,7 @@ func (c *CPU) Exception(code int, vector uint32) {
 	c.inDelay = false
 	c.execInSlot = false
 	c.PC = vector
-	if c.obsExc {
+	if c.obsAny {
 		c.Obs.Exception(code, vector)
 	}
 }

@@ -70,7 +70,7 @@ func (c *CPU) fetchWord(va uint32) (uint32, bool) {
 		}
 	}
 	pa := c.icache.ppage | va&(PageSize-1)
-	if c.obsFetch {
+	if c.obsAny {
 		c.Obs.Fetch(va, pa, c.KernelMode(), c.icache.cached)
 	}
 	if r := c.icache.ram; r != nil {
@@ -96,7 +96,7 @@ func (c *CPU) load(va uint32, size int) (uint64, bool) {
 		}
 	}
 	pa := c.dcache.ppage | va&(PageSize-1)
-	if c.obsLoad {
+	if c.obsAny {
 		c.Obs.Load(va, pa, size, c.KernelMode(), c.dcache.cached)
 	}
 	if r := c.dcache.ram; r != nil {
@@ -144,7 +144,7 @@ func (c *CPU) store(va uint32, size int, v uint64) bool {
 		}
 	}
 	pa := c.wcache.ppage | va&(PageSize-1)
-	if c.obsStore {
+	if c.obsAny {
 		c.Obs.Store(va, pa, size, c.KernelMode(), c.wcache.cached)
 	}
 	// Stores into a predecoded text frame drop its stale micro-ops
@@ -206,8 +206,8 @@ func (c *CPU) Step() bool {
 		return false
 	}
 	// Observers are attached by plain assignment to c.Obs (machine
-	// timing models, tests); fold the nil check into per-port flags
-	// once per attach/detach instead of per event.
+	// timing models, tests); fold the nil check into obsAny once per
+	// attach/detach instead of per event.
 	if (c.Obs != nil) != c.obsAny {
 		c.syncObs()
 	}
@@ -219,7 +219,7 @@ func (c *CPU) Step() bool {
 	if pc&EntryHiVPN == c.icache.vpage && c.ipd != nil && pc&3 == 0 {
 		c.pd.hits++
 		u := &c.ipd.ops[pc>>2&(pdFrameWords-1)]
-		if c.obsFetch {
+		if c.obsAny {
 			c.Obs.Fetch(pc, c.icache.ppage|pc&(PageSize-1), c.KernelMode(), c.icache.cached)
 		}
 		nextPC := pc + 4
@@ -257,8 +257,12 @@ func (c *CPU) Step() bool {
 // ops), and device bus accesses set it (a store can reprogram a device
 // event or ack an interrupt line). The loop returns after any such
 // instruction, and the caller re-enters through Step, which performs
-// the full per-instruction checks. An attached observer disables the
-// batch entirely so event streams stay per-instruction exact.
+// the full per-instruction checks.
+//
+// With an observer attached the batch runs in stepNObserved, which
+// emits every per-instruction event and never enters superblocks; the
+// loop here, with its inline load/store cases and superblock entry,
+// only runs unobserved.
 func (c *CPU) StepN(max uint64) uint64 {
 	if c.Halted || max == 0 {
 		return 0
@@ -266,7 +270,10 @@ func (c *CPU) StepN(max uint64) uint64 {
 	if (c.Obs != nil) != c.obsAny {
 		c.syncObs()
 	}
-	if c.obsAny || c.IRQPending() {
+	if c.obsAny {
+		return c.stepNObserved(max)
+	}
+	if c.IRQPending() {
 		return 0
 	}
 	ipd := c.ipd
@@ -547,6 +554,66 @@ done:
 	return n
 }
 
+// stepNObserved is StepN with an observer attached: the same hoisted
+// checks and pdExit discipline, with each instruction running Step's
+// fast-path body — the Fetch event, then execU, whose loads and stores
+// fire their hooks before any bus access — so the observer sees
+// exactly the per-Step event stream. It never enters superblocks,
+// whose fused runs retire instructions without per-instruction events.
+// It is a separate loop so the unobserved one carries no observer
+// test, and the body is written out because a call per instruction
+// costs direct measurement ~10%.
+func (c *CPU) stepNObserved(max uint64) uint64 {
+	if c.IRQPending() {
+		return 0
+	}
+	ipd := c.ipd
+	if ipd == nil {
+		return 0
+	}
+	if c.prof.fn != nil {
+		max = c.profClamp(max)
+	}
+	c.pdExit = false
+	vpage := c.icache.vpage
+	var n uint64
+	for n < max {
+		pc := c.PC
+		if pc&EntryHiVPN != vpage || pc&3 != 0 {
+			break
+		}
+		u := &ipd.ops[pc>>2&(pdFrameWords-1)]
+		c.Obs.Fetch(pc, c.icache.ppage|pc&(PageSize-1), c.KernelMode(), c.icache.cached)
+		nextPC := pc + 4
+		if c.inDelay {
+			nextPC = c.delayTarget
+			c.inDelay = false
+			c.execInSlot = true
+		}
+		if c.CP0.Random <= TLBWired {
+			c.CP0.Random = NTLB - 1
+		} else {
+			c.CP0.Random--
+		}
+		ok := c.execU(u)
+		c.Stat.Instret++
+		c.Stat.Classes[u.cls]++
+		c.execInSlot = false
+		n++
+		if ok {
+			c.PC = nextPC
+		}
+		if c.pdExit || c.Halted {
+			break
+		}
+	}
+	c.pd.hits += n
+	if c.prof.fn != nil && c.Stat.Instret >= c.prof.next {
+		c.profSample()
+	}
+	return n
+}
+
 // stepSlow is the reference interpreter path: per-instruction fetch
 // with byte reassembly and the full decode switch in exec. It serves
 // fetches the predecode cache cannot (and the whole engine when
@@ -581,16 +648,8 @@ func (c *CPU) stepSlow() bool {
 	return !c.Halted
 }
 
-// syncObs re-derives the per-port observer flags from c.Obs.
-func (c *CPU) syncObs() {
-	has := c.Obs != nil
-	c.obsAny = has
-	c.obsFetch = has
-	c.obsLoad = has
-	c.obsStore = has
-	c.obsExc = has
-	c.obsFP = has
-}
+// syncObs re-derives the observer flag from c.Obs.
+func (c *CPU) syncObs() { c.obsAny = c.Obs != nil }
 
 // opClass maps a primary opcode to its instruction class. Unused
 // opcodes default to ClassALU (they raise reserved-instruction
@@ -966,7 +1025,7 @@ func (c *CPU) execCOP1(w uint32, rs, rt int) bool {
 			c.branch(c.PC + 8)
 		}
 	case isa.Cop1Dbl:
-		if c.obsFP {
+		if c.obsAny {
 			c.Obs.FPOp(isa.FPLatency(w))
 		}
 		fd := int(w >> 6 & 31)

@@ -86,9 +86,9 @@ func (c *CPU) profClamp(max uint64) uint64 {
 }
 
 // ProfPoll takes a sample if one is due. The machine run loop calls
-// it once per burst for the paths that do not go through StepN (the
-// reference interpreter and observer-attached runs), bounding sample
-// skew by the burst length instead of adding a per-Step check.
+// it once per burst for the path that does not go through StepN (the
+// reference interpreter), bounding sample skew by the burst length
+// instead of adding a per-Step check.
 func (c *CPU) ProfPoll() {
 	if c.prof.fn != nil && c.Stat.Instret >= c.prof.next {
 		c.profSample()

@@ -232,22 +232,26 @@ func TestLockstepRandomPrograms(t *testing.T) {
 // runBatched drives a CPU the way machine.Run's long-burst mode does:
 // StepN batches as far as it can, and a single Step makes progress
 // over whatever the batch refused (interrupts, page crossings, COP0,
-// exceptions) before the batch resumes.
-func runBatched(c *cpu.CPU, target uint64) {
+// exceptions) before the batch resumes. It returns the number of
+// instructions StepN retired.
+func runBatched(c *cpu.CPU, target uint64) (batched uint64) {
 	for c.Stat.Instret < target && !c.Halted {
-		if c.StepN(target-c.Stat.Instret) == 0 {
+		n := c.StepN(target - c.Stat.Instret)
+		batched += n
+		if n == 0 {
 			if !c.Step() {
 				break
 			}
 		}
 	}
+	return batched
 }
 
 // TestLockstepStepNRandomPrograms covers the batched fast path: the
 // reference engine runs per-Step while the predecoded engine runs
-// through StepN (whose inline opcode dispatch only executes with no
-// observer attached), and the full architectural state must match at
-// the same retirement count.
+// through StepN with no observer attached (its inline load/store cases
+// go straight for the cached page slice), and the full architectural
+// state must match at the same retirement count.
 func TestLockstepStepNRandomPrograms(t *testing.T) {
 	for seed := int64(1); seed <= 40; seed++ {
 		t.Run(fmt.Sprintf("seed%d", seed), func(t *testing.T) {
@@ -257,9 +261,6 @@ func TestLockstepStepNRandomPrograms(t *testing.T) {
 				words[i] = randInstr(r)
 			}
 			ref, fast, _, _ := lockstepPair(r, words)
-			// No observers: an attached observer makes StepN refuse
-			// to batch, which would silently fall back to the
-			// already-covered per-Step path.
 			ref.CPU.Obs = nil
 			fast.CPU.Obs = nil
 			const target = 3000
@@ -273,6 +274,57 @@ func TestLockstepStepNRandomPrograms(t *testing.T) {
 				t.Fatalf("after %d instructions: %s", ref.CPU.Stat.Instret, d)
 			}
 		})
+	}
+}
+
+// observedBatchedFace runs words with recObs attached on both sides:
+// the reference engine per-Step and the predecoded engine through
+// runBatched, with the superblock threshold forced to 1 so a batch
+// that wrongly entered the tier while observed would retire
+// instructions without events. Architectural state and the complete
+// event stream must match at the same retirement count. It returns the
+// number of instructions StepN retired.
+func observedBatchedFace(t *testing.T, r *rand.Rand, words []uint32, target uint64) uint64 {
+	t.Helper()
+	ref, fast, oref, ofast := lockstepPair(r, words)
+	fast.CPU.SetSuperblockThreshold(1)
+	for ref.CPU.Stat.Instret < target {
+		if !ref.CPU.Step() {
+			break
+		}
+	}
+	batched := runBatched(fast.CPU, target)
+	if d := diffState(ref.CPU, fast.CPU); d != "" {
+		t.Fatalf("observed batched run diverges after %d instructions: %s", ref.CPU.Stat.Instret, d)
+	}
+	if oref.n != ofast.n || oref.h != ofast.h {
+		t.Fatalf("observer streams diverge: %d events hash %x (per-Step) vs %d events hash %x (StepN)",
+			oref.n, oref.h, ofast.n, ofast.h)
+	}
+	if b := fast.CPU.SuperblockStats().Built; b != 0 {
+		t.Fatalf("observed run built %d superblocks", b)
+	}
+	return batched
+}
+
+// TestLockstepStepNObservedRandomPrograms covers the batched path with
+// an observer attached, the configuration direct measurement runs in:
+// StepN hands the batch to stepNObserved, which emits each
+// instruction's events itself.
+func TestLockstepStepNObservedRandomPrograms(t *testing.T) {
+	var batched uint64
+	for seed := int64(1); seed <= 40; seed++ {
+		t.Run(fmt.Sprintf("seed%d", seed), func(t *testing.T) {
+			r := rand.New(rand.NewSource(seed))
+			words := make([]uint32, 0x3000/4)
+			for i := range words {
+				words[i] = randInstr(r)
+			}
+			batched += observedBatchedFace(t, r, words, 3000)
+		})
+	}
+	if batched == 0 {
+		t.Fatal("StepN retired nothing over any seed: the observed batch was not exercised")
 	}
 }
 
@@ -439,6 +491,10 @@ func FuzzExecEquivalence(f *testing.F) {
 		if d := diffState(ref3.CPU, fast3.CPU); d != "" {
 			t.Fatalf("superblock run diverges: %s", d)
 		}
+
+		// Fourth face: the batched loop with observers attached, the
+		// direct-measurement configuration; event streams must match.
+		observedBatchedFace(t, rand.New(rand.NewSource(seed)), words, target)
 	})
 }
 

@@ -196,7 +196,9 @@ func (m *Machine) Run(maxInstr uint64) error {
 	// pinned bursts at 64 instructions and delivered events up to a
 	// burst late after an analysis jump. A stall model still forces
 	// short bursts: it adds time on every instruction, so only the
-	// burst bound keeps event delivery close.
+	// burst bound keeps event delivery close. Both burst loops batch
+	// through StepN whether or not an observer is attached; observed
+	// batches run on the predecode tier only, never in superblocks.
 	maxBurst := uint64(64)
 	if m.stall == nil {
 		maxBurst = 16384
@@ -214,16 +216,18 @@ func (m *Machine) Run(maxInstr uint64) error {
 			burst = limit - c.Stat.Instret
 		}
 		if maxBurst == 64 {
-			if c.PredecodeActive() && c.Obs == nil {
-				// Short-burst batched loop: the traced path's
-				// replacement for the legacy per-Step loop. Neither
-				// loop checks device events mid-burst — delivery
-				// happens after the burst in both — so batching
-				// through StepN (and the superblock tier under it)
+			if c.PredecodeActive() {
+				// Short-burst batched loop: the stall-model path's
+				// replacement for the per-Step loop. Neither loop
+				// checks device events mid-burst — delivery happens
+				// after the burst in both — so batching through StepN
 				// retires the identical instruction sequence at the
-				// identical event instants: the guest's instrumented
-				// stores land in the trace buffer byte-for-byte as
-				// before, just without per-instruction loop overhead.
+				// identical event instants. The attached observer sees
+				// the same events in the same order (StepN emits them
+				// per instruction and stays out of the superblock tier
+				// while observed), and its Load/Store hooks still fire
+				// before any device bus access, so m.Cycles() at a
+				// device write includes that store's stall, as before.
 				// Doorbell writes and exceptions end a batch (pdExit),
 				// and the single Step makes progress over whatever the
 				// batch refused, exactly like the long-burst loop.
@@ -256,7 +260,7 @@ func (m *Machine) Run(maxInstr uint64) error {
 			// doorbell mid-burst: overdue events are then delivered
 			// immediately instead of up to a burst late.
 			ne := m.nextEvent
-			if c.PredecodeActive() && c.Obs == nil {
+			if c.PredecodeActive() {
 				for i := uint64(0); i < burst; {
 					i += c.StepN(burst - i)
 					if i >= burst || m.nextEvent != ne || m.Cycles() >= ne {
@@ -284,8 +288,8 @@ func (m *Machine) Run(maxInstr uint64) error {
 		if c.FaultMsg != "" {
 			return fmt.Errorf("machine fault at pc=0x%08x: %s", c.PC, c.FaultMsg)
 		}
-		// Guest-PC sampling for the paths that don't flow through
-		// StepN (short bursts, observers): skew bounded by the burst.
+		// Guest-PC sampling for the path that doesn't flow through
+		// StepN (the reference interpreter): skew bounded by the burst.
 		c.ProfPoll()
 		if now = m.Cycles(); now >= m.nextEvent {
 			m.Clock.Advance(now)

@@ -114,33 +114,43 @@ func (c *Cache) MissRate() float64 {
 // rate; a store arriving with the buffer full stalls the CPU until a
 // slot frees.
 type WriteBuffer struct {
-	depth  int
 	retire uint64
-	// doneAt holds completion cycles of in-flight writes (FIFO).
-	doneAt []uint64
-	last   uint64
+	// doneAt is a ring of the completion cycles of in-flight writes
+	// (FIFO): n entries starting at head. Its length is the buffer
+	// depth, fixed at construction, so Write never allocates.
+	doneAt  []uint64
+	head, n int
+	last    uint64
 
 	Writes      uint64
 	StallCycles uint64
 }
 
-// NewWriteBuffer builds a buffer of the given depth and per-entry
-// retire time.
+// NewWriteBuffer builds a buffer of the given depth (at least one
+// entry) and per-entry retire time.
 func NewWriteBuffer(depth, retireCycles int) *WriteBuffer {
-	return &WriteBuffer{depth: depth, retire: uint64(retireCycles)}
+	return &WriteBuffer{retire: uint64(retireCycles), doneAt: make([]uint64, depth)}
+}
+
+// pop retires the oldest in-flight write.
+func (w *WriteBuffer) pop() {
+	w.n--
+	if w.head++; w.head == len(w.doneAt) {
+		w.head = 0
+	}
 }
 
 // Write records a store issued at cycle now and returns the stall.
 func (w *WriteBuffer) Write(now uint64) (stall uint64) {
 	w.Writes++
 	// Drain retired entries.
-	for len(w.doneAt) > 0 && w.doneAt[0] <= now {
-		w.doneAt = w.doneAt[1:]
+	for w.n > 0 && w.doneAt[w.head] <= now {
+		w.pop()
 	}
-	if len(w.doneAt) >= w.depth {
-		stall = w.doneAt[0] - now
-		now = w.doneAt[0]
-		w.doneAt = w.doneAt[1:]
+	if w.n == len(w.doneAt) {
+		stall = w.doneAt[w.head] - now
+		now = w.doneAt[w.head]
+		w.pop()
 		w.StallCycles += stall
 	}
 	start := now
@@ -148,7 +158,12 @@ func (w *WriteBuffer) Write(now uint64) (stall uint64) {
 		start = w.last
 	}
 	w.last = start + w.retire
-	w.doneAt = append(w.doneAt, w.last)
+	tail := w.head + w.n
+	if tail >= len(w.doneAt) {
+		tail -= len(w.doneAt)
+	}
+	w.doneAt[tail] = w.last
+	w.n++
 	return stall
 }
 

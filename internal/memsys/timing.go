@@ -16,6 +16,12 @@ type Timing struct {
 	DC  *Cache
 	WB  *WriteBuffer
 
+	// icLine is the I-cache line (pa >> IC.lineShift) the last cached
+	// fetch touched. Only fetches access IC, so that line is resident
+	// until a fetch from another line; a repeat fetch from it is a hit
+	// without the tag lookup.
+	icLine uint32
+
 	instr  uint64
 	stalls uint64
 
@@ -45,10 +51,11 @@ var _ cpu.Observer = (*Timing)(nil)
 // NewTiming builds the execution-driven model.
 func NewTiming(cfg Config) *Timing {
 	return &Timing{
-		cfg: cfg,
-		IC:  NewCache(cfg.ICacheSize, cfg.LineSize),
-		DC:  NewCache(cfg.DCacheSize, cfg.LineSize),
-		WB:  NewWriteBuffer(cfg.WriteBufferDepth, cfg.WriteRetireCycles),
+		cfg:    cfg,
+		IC:     NewCache(cfg.ICacheSize, cfg.LineSize),
+		DC:     NewCache(cfg.DCacheSize, cfg.LineSize),
+		WB:     NewWriteBuffer(cfg.WriteBufferDepth, cfg.WriteRetireCycles),
+		icLine: ^uint32(0),
 	}
 }
 
@@ -82,6 +89,12 @@ func (t *Timing) Fetch(va, pa uint32, kernel, cached bool) {
 		t.charge(uint64(t.cfg.UncachedPenalty), kernel)
 		return
 	}
+	line := pa >> t.IC.lineShift
+	if line == t.icLine {
+		t.IC.Accesses++
+		return
+	}
+	t.icLine = line
 	if !t.IC.Access(pa) {
 		t.ICacheStalls += uint64(t.cfg.ReadMissPenalty)
 		t.charge(uint64(t.cfg.ReadMissPenalty), kernel)

@@ -9,7 +9,9 @@ package systrace_test
 // so a traced boot — interrupts, DMA, doorbell analysis phases and
 // all — is deterministic down to the cycle; any predecode bug that
 // survives the random-program lockstep (internal/cpu) shows up here as
-// a diverging stream.
+// a diverging stream. A measured face runs the direct-measurement
+// configuration — untraced, memsys.Timing attached — where stall
+// cycles feed machine time, so every Timing counter must match too.
 
 import (
 	"math"
@@ -19,6 +21,7 @@ import (
 	"systrace/internal/epoxie"
 	"systrace/internal/experiment"
 	"systrace/internal/kernel"
+	"systrace/internal/memsys"
 	obspkg "systrace/internal/obs"
 	"systrace/internal/workload"
 )
@@ -56,6 +59,68 @@ func (o *streamObs) Store(va, pa uint32, size int, kernel, cached bool) {
 func (o *streamObs) Exception(code int, vector uint32) { o.mix(4, uint32(code), vector) }
 func (o *streamObs) FPOp(latency int)                  { o.mix(5, uint32(latency)) }
 
+// teeObs delivers each event to two observers in turn.
+type teeObs struct{ a, b cpu.Observer }
+
+func (o teeObs) Fetch(va, pa uint32, kernel, cached bool) {
+	o.a.Fetch(va, pa, kernel, cached)
+	o.b.Fetch(va, pa, kernel, cached)
+}
+func (o teeObs) Load(va, pa uint32, size int, kernel, cached bool) {
+	o.a.Load(va, pa, size, kernel, cached)
+	o.b.Load(va, pa, size, kernel, cached)
+}
+func (o teeObs) Store(va, pa uint32, size int, kernel, cached bool) {
+	o.a.Store(va, pa, size, kernel, cached)
+	o.b.Store(va, pa, size, kernel, cached)
+}
+func (o teeObs) Exception(code int, vector uint32) {
+	o.a.Exception(code, vector)
+	o.b.Exception(code, vector)
+}
+func (o teeObs) FPOp(latency int) {
+	o.a.FPOp(latency)
+	o.b.FPOp(latency)
+}
+
+// timingCounts is every counter of a memsys.Timing model.
+type timingCounts struct {
+	instr, stalls                  uint64
+	iAcc, iMiss, dAcc, dMiss       uint64
+	wbWrites, wbCycles             uint64
+	iStalls, dStalls, wbStalls     uint64
+	uncStalls, fpStalls, fpOverlap uint64
+	excStalls                      uint64
+	kInstr, kStalls                uint64
+	uInstr, uStalls                uint64
+}
+
+func timingOf(tm *memsys.Timing) timingCounts {
+	return timingCounts{
+		instr: tm.Instructions(), stalls: tm.StallCycles(),
+		iAcc: tm.IC.Accesses, iMiss: tm.IC.Misses, dAcc: tm.DC.Accesses, dMiss: tm.DC.Misses,
+		wbWrites: tm.WB.Writes, wbCycles: tm.WB.StallCycles,
+		iStalls: tm.ICacheStalls, dStalls: tm.DCacheStalls, wbStalls: tm.WBStalls,
+		uncStalls: tm.UncachedStalls, fpStalls: tm.FPStalls, fpOverlap: tm.FPOverlapped,
+		excStalls: tm.ExcStalls,
+		kInstr:    tm.KernelInstr, kStalls: tm.KernelStalls,
+		uInstr: tm.UserInstr, uStalls: tm.UserStalls,
+	}
+}
+
+// runMode selects how runEngine boots and instruments a workload.
+type runMode int
+
+const (
+	untracedRun runMode = iota
+	tracedRun
+	// measuredRun is experiment.Measure's configuration: untraced,
+	// with memsys.Timing attached through AttachTiming.
+	measuredRun
+)
+
+func (m runMode) String() string { return [...]string{"untraced", "traced", "measured"}[m] }
+
 type engineResult struct {
 	gpr       [32]uint32
 	fprBits   [32]uint64
@@ -74,15 +139,16 @@ type engineResult struct {
 	doorbells uint64
 	cycles    uint64
 	sbBuilt   uint64
+	timing    timingCounts
 }
 
-func runEngine(t *testing.T, wl string, engine kernel.Engine, traced bool) engineResult {
+func runEngine(t *testing.T, wl string, engine kernel.Engine, mode runMode) engineResult {
 	t.Helper()
 	spec, ok := workload.ByName(wl)
 	if !ok {
 		t.Fatalf("no workload %q", wl)
 	}
-	sys, pid, err := experiment.Boot(spec, kernel.Ultrix, traced, 1)
+	sys, pid, err := experiment.Boot(spec, kernel.Ultrix, mode == tracedRun, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -96,16 +162,23 @@ func runEngine(t *testing.T, wl string, engine kernel.Engine, traced bool) engin
 		sys.M.CPU.SetSuperblocks(false)
 	}
 	obs := &streamObs{}
-	if traced && engine != kernel.EngineSuperblock {
+	var tm *memsys.Timing
+	switch {
+	case mode == measuredRun:
+		// Every engine runs with the timing model attached, the
+		// superblock engine included: that is the configuration
+		// Measure ships, and observed batches must keep out of the
+		// superblock tier. The tee hashes the stream the model sees.
+		tm = memsys.NewTiming(memsys.DECstation5000())
+		sys.M.AttachTiming(teeObs{tm, obs}, tm)
+	case mode == tracedRun && engine != kernel.EngineSuperblock:
 		// Traced reference and predecode runs also compare the full
 		// Observer event stream. The superblock face runs with the
-		// observer detached — the batched dispatch requires it (an
-		// attached observer forces per-Step execution) — and is
-		// instead pinned by the drained trace-word hash below, the
-		// byte-level identity the paper's analyses depend on.
-		// Untraced runs always leave the observer detached so the
-		// predecoded engine goes through the batched fast path — the
-		// same configuration BENCH_cpu.json measures.
+		// observer detached — an attached observer keeps StepN out of
+		// the superblock tier — and is instead pinned by the drained
+		// trace-word hash below, the byte-level identity the paper's
+		// analyses depend on. Untraced runs leave the observer
+		// detached, the configuration BENCH_cpu.json measures.
 		sys.M.CPU.Obs = obs
 	}
 	// Hash every drained trace word in order: the emitted stream,
@@ -117,7 +190,7 @@ func runEngine(t *testing.T, wl string, engine kernel.Engine, traced bool) engin
 		}
 	}
 	if err := sys.Run(experiment.RunBudget); err != nil {
-		t.Fatalf("%s engine=%v: %v", wl, engine, err)
+		t.Fatalf("%s engine=%v %v: %v", wl, engine, mode, err)
 	}
 	c := sys.M.CPU
 	res := engineResult{
@@ -129,6 +202,9 @@ func runEngine(t *testing.T, wl string, engine kernel.Engine, traced bool) engin
 		drained: sys.DrainedWords, doorbells: sys.Doorbells,
 		cycles:  sys.M.Cycles(),
 		sbBuilt: c.SuperblockStats().Built,
+	}
+	if tm != nil {
+		res.timing = timingOf(tm)
 	}
 	for i, f := range c.FPR {
 		res.fprBits[i] = math.Float64bits(f)
@@ -262,7 +338,7 @@ func TestDataflowDifferentialOracle(t *testing.T) {
 
 // compareFace checks one fast engine's run against the reference run.
 // The observer stream is compared only when both runs attached one
-// (the superblock face runs observer-detached by construction).
+// (the traced superblock face runs observer-detached by construction).
 func compareFace(t *testing.T, name string, ref, fast engineResult) {
 	t.Helper()
 	if fast.events != 0 && (ref.events != fast.events || ref.eventHash != fast.eventHash) {
@@ -305,23 +381,23 @@ func compareFace(t *testing.T, name string, ref, fast engineResult) {
 	if ref.cycles != fast.cycles {
 		t.Errorf("machine time diverges (%s): %d vs %d cycles", name, ref.cycles, fast.cycles)
 	}
+	if ref.timing != fast.timing {
+		t.Errorf("timing model diverges (%s): %+v vs %+v", name, ref.timing, fast.timing)
+	}
 }
 
 func TestWorkloadDifferentialOracle(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full traced workload boots")
 	}
-	for _, traced := range []bool{true, false} {
+	for _, mode := range []runMode{tracedRun, untracedRun, measuredRun} {
 		for _, wl := range []string{"sed", "lisp"} {
-			traced, wl := traced, wl
-			name := wl + "/untraced"
-			if traced {
-				name = wl + "/traced"
-			}
+			mode, wl := mode, wl
+			name := wl + "/" + mode.String()
 			t.Run(name, func(t *testing.T) {
-				ref := runEngine(t, wl, kernel.EngineReference, traced)
-				pd := runEngine(t, wl, kernel.EnginePredecode, traced)
-				sb := runEngine(t, wl, kernel.EngineSuperblock, traced)
+				ref := runEngine(t, wl, kernel.EngineReference, mode)
+				pd := runEngine(t, wl, kernel.EnginePredecode, mode)
+				sb := runEngine(t, wl, kernel.EngineSuperblock, mode)
 				compareFace(t, "predecode", ref, pd)
 				compareFace(t, "superblock", ref, sb)
 				if ref.stat.Instret == 0 {
@@ -330,8 +406,15 @@ func TestWorkloadDifferentialOracle(t *testing.T) {
 				if pd.sbBuilt != 0 {
 					t.Errorf("predecode face built %d superblocks: tier separation broken", pd.sbBuilt)
 				}
-				if sb.sbBuilt == 0 {
+				switch {
+				case mode == measuredRun && sb.sbBuilt != 0:
+					t.Errorf("observed superblock face built %d superblocks: observed batches must stay out of the tier", sb.sbBuilt)
+				case mode != measuredRun && sb.sbBuilt == 0:
 					t.Error("superblock face built no superblocks: the tier was not exercised")
+				}
+				if mode == measuredRun && (ref.events == 0 || ref.timing.instr != ref.stat.Instret) {
+					t.Errorf("timing model saw %d of %d instructions (%d events)",
+						ref.timing.instr, ref.stat.Instret, ref.events)
 				}
 				if t.Failed() {
 					// An oracle mismatch is a flight-recorder dump

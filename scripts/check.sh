@@ -27,7 +27,10 @@ go test -race ./internal/cpu/ ./internal/kernel/ ./internal/experiment/ ./intern
 echo "== same-image concurrent predictions under -race (checkers sharing cached CFGs, 5 uncached runs) =="
 go test -race -count=5 -run '^TestConcurrentPredictSameImage$' ./internal/experiment/
 
-echo "== differential oracle (reference vs predecode vs superblock, traced + untraced boots, uncached) =="
+echo "== same-image concurrent measurements under -race (observed StepN batches over shared images, 3 uncached runs) =="
+go test -race -count=3 -run '^TestConcurrentMeasureSameImage$' ./internal/experiment/
+
+echo "== differential oracle (reference vs predecode vs superblock, traced + untraced + measured boots, uncached) =="
 go test -run '^TestWorkloadDifferentialOracle$' -count=1 .
 
 echo "== obs smoke (traced sed boot: span nesting + folded guest-PC profile) =="
