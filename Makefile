@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: check lint tracelint guestlint fmt vet build test bench bench-cpu bench-obs bench-stream bench-dataflow
+.PHONY: check lint tracelint guestlint fmt vet build test bench
 
 # check is the tier-1 gate: formatting, vet, build, the full test
 # suite, fuzz smoke, and the lint gate. CI and pre-commit should run
@@ -40,29 +40,3 @@ test:
 
 bench:
 	$(GO) test -run=^$$ -bench=. -benchmem ./...
-
-# bench-cpu measures raw interpreter speed (reference vs predecode vs
-# superblock engine over untraced and traced sed + lisp boots) and
-# rewrites BENCH_cpu.json.
-bench-cpu:
-	$(GO) run ./cmd/benchcpu -out BENCH_cpu.json
-
-# bench-obs measures observability overhead (flight recorder off/on,
-# guest-PC profiler on) against the BENCH_cpu.json predecode baseline
-# and rewrites BENCH_obs.json; fails if recorder-on drops below 97%.
-bench-obs:
-	$(GO) run ./cmd/benchcpu -mode obs -out BENCH_obs.json -count 8
-
-# bench-stream compares the trace drains (two-phase vs epoch-ring
-# streaming, raw and compressed) over the full prediction pipeline and
-# rewrites BENCH_stream.json; fails if the overlapped drain is not
-# faster in simulated time or compression drops below 4x.
-bench-stream:
-	$(GO) run ./cmd/benchstream -out BENCH_stream.json
-
-# bench-dataflow measures the liveness analysis' dead-register elision
-# (static sites elided per image, dynamic instructions saved per traced
-# boot) and rewrites BENCH_dataflow.json; fails if the corpus-wide
-# elision rate drops below 20%.
-bench-dataflow:
-	$(GO) run ./cmd/benchdataflow -out BENCH_dataflow.json

@@ -7,10 +7,12 @@ package systrace_test
 // suite).
 
 import (
+	"runtime"
 	"testing"
 
 	"systrace/internal/experiment"
 	"systrace/internal/kernel"
+	"systrace/internal/obs"
 	"systrace/internal/trace"
 	"systrace/internal/workload"
 )
@@ -256,8 +258,7 @@ func suite(b *testing.B, r *experiment.Runner, specs []workload.Spec) {
 // BenchmarkSuite measures the orchestrator's effect on the evaluation:
 // "naive" re-creates a Runner per table at one worker (the historical
 // cost, every table re-simulating its own runs), "j1" shares one
-// memoizing Runner serially, "j4" adds a 4-worker pool. Results land
-// in BENCH_runner.json.
+// memoizing Runner serially, "j4" adds a 4-worker pool.
 func BenchmarkSuite(b *testing.B) {
 	specs := benchSpecs(b, "sed", "lisp")
 	b.Run("naive", func(b *testing.B) {
@@ -319,4 +320,62 @@ func reportDedup(b *testing.B, r *experiment.Runner) {
 	s := r.Stats()
 	b.ReportMetric(float64(s.Executed), "runs")
 	b.ReportMetric(float64(s.Deduplicated()), "memoized")
+}
+
+// BenchmarkBoot measures raw interpreter speed in simulated MIPS over
+// full Ultrix boots of sed and lisp. The tier cells run each execution
+// tier over the original (untraced) and instrumented (traced) images.
+// The recorder cells run the default untraced boot with the obs flight
+// recorder disabled (recorder_off) or the guest-PC profiler sampling
+// every 4096 instructions (profiler_on); the default boot itself is
+// superblock/untraced. Only sys.Run is timed. Ratios between cells are
+// meaningful only within one run on one host, so nothing here is gated.
+func BenchmarkBoot(b *testing.B) {
+	type cell struct {
+		name                  string
+		tier                  tier
+		traced                bool
+		recorderOff, profiler bool
+	}
+	var cells []cell
+	for _, t := range []tier{tierReference, tierPredecode, tierSuperblock} {
+		cells = append(cells,
+			cell{name: string(t) + "/untraced", tier: t},
+			cell{name: string(t) + "/traced", tier: t, traced: true})
+	}
+	cells = append(cells,
+		cell{name: "recorder_off", tier: tierSuperblock, recorderOff: true},
+		cell{name: "profiler_on", tier: tierSuperblock, profiler: true})
+
+	for _, spec := range benchSpecs(b, "sed", "lisp") {
+		for _, c := range cells {
+			b.Run(spec.Name+"/"+c.name, func(b *testing.B) {
+				var instret uint64
+				b.StopTimer()
+				for i := 0; i < b.N; i++ {
+					sys, _, err := experiment.Boot(spec, kernel.Ultrix, c.traced, 1)
+					if err != nil {
+						b.Fatal(err)
+					}
+					pinTier(sys, c.tier)
+					if c.profiler {
+						sys.M.CPU.SetProfiler(4096, obs.NewProfile().Hit)
+					}
+					// Collect the previous boot's machine outside the
+					// timed region.
+					runtime.GC()
+					obs.SetEnabled(!c.recorderOff)
+					b.StartTimer()
+					err = sys.Run(experiment.RunBudget)
+					b.StopTimer()
+					obs.SetEnabled(true)
+					if err != nil {
+						b.Fatal(err)
+					}
+					instret += sys.M.CPU.Stat.Instret
+				}
+				b.ReportMetric(float64(instret)/b.Elapsed().Seconds()/1e6, "MIPS")
+			})
+		}
+	}
 }

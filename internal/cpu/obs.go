@@ -29,7 +29,8 @@ var (
 // a single event for the whole run of accesses, not one per word.
 // sed's boot makes ~50k device accesses in ~18ms — emitting each one
 // is the difference between recorder cost disappearing into benchmark
-// noise and a measurable MIPS hit (see BENCH_obs.json).
+// noise and a measurable MIPS hit (compare BenchmarkBoot's
+// recorder_off cell with superblock/untraced).
 func (c *CPU) devAccess(pa uint32, store uint64) {
 	key := uint64(pa)>>12<<1 | store
 	if key == c.lastDevKey {

@@ -145,7 +145,7 @@ type predecoder struct {
 // SetPredecode selects the execution engine: true (the default) runs
 // the predecoded fast path, false retains the reference interpreter
 // (per-instruction fetch, byte reassembly, full decode switch) — the
-// lockstep oracle and the BENCH_cpu baseline run with it off.
+// lockstep oracle and BenchmarkBoot's reference cells run with it off.
 func (c *CPU) SetPredecode(on bool) {
 	c.pd.off = !on
 	c.dropAllFrames()

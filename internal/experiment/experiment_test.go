@@ -126,6 +126,49 @@ func TestStreamingConformanceAndPredict(t *testing.T) {
 	}
 }
 
+// TestStreamDrainGates holds the compressed epoch-ring drain to its
+// claims against the two-phase drain over full predictions of sed and
+// lisp. The 512 KB epoch is small enough that each run hands off many
+// epochs, so the ring's pipelining is exercised, not only its final
+// flush. Both drains must compute the same result and pass
+// conformance; the overlapped drain must retire in strictly fewer
+// simulated cycles, and the wire codec must shrink the stream at
+// least 4x.
+func TestStreamDrainGates(t *testing.T) {
+	if testing.Short() {
+		t.Skip("full traced predictions")
+	}
+	const bufBytes = 512 << 10
+	for _, s := range specsFor(t, "sed", "lisp") {
+		two, err := experiment.PredictStream(s, kernel.Ultrix, 1, bufBytes, kernel.StreamConfig{})
+		if err != nil {
+			t.Fatalf("%s two-phase: %v", s.Name, err)
+		}
+		str, err := experiment.PredictStream(s, kernel.Ultrix, 1, bufBytes, kernel.DefaultStream())
+		if err != nil {
+			t.Fatalf("%s stream: %v", s.Name, err)
+		}
+		for _, p := range []*experiment.Predicted{two, str} {
+			if !p.Conformance.Clean() {
+				t.Errorf("%s: trace fails conformance (%d diags)", s.Name, len(p.Conformance.Diags))
+			}
+		}
+		if str.Result != two.Result {
+			t.Errorf("%s: workload result changed across drains (%d vs %d)", s.Name, str.Result, two.Result)
+		}
+		if str.TracedCycles >= two.TracedCycles {
+			t.Errorf("%s: overlapped drain not faster in simulated time (%d vs two-phase %d cycles)",
+				s.Name, str.TracedCycles, two.TracedCycles)
+		}
+		raw, enc := str.Stream.RawBytes, str.Stream.EncodedBytes
+		if enc == 0 || raw < 4*enc {
+			t.Errorf("%s: compression %d -> %d bytes is below 4x", s.Name, raw, enc)
+		}
+		t.Logf("%s: %d epochs, traced %d vs two-phase %d cycles, %d -> %d bytes",
+			s.Name, str.Stream.Epochs, str.TracedCycles, two.TracedCycles, raw, enc)
+	}
+}
+
 func TestTable1Inventory(t *testing.T) {
 	rows, err := experiment.Table1(specsFor(t, "gcc", "yacc"))
 	if err != nil {

@@ -42,40 +42,6 @@ type BootConfig struct {
 	// analysis, an enabled config the overlapped epoch ring. Both
 	// drains run the analysis on the same host-side consumer.
 	Stream StreamConfig
-	// Engine pins the CPU execution tier for the whole boot. The zero
-	// value keeps the machine default (predecode + superblocks); the
-	// benchmark grid and the differential oracle pin specific tiers.
-	Engine Engine
-}
-
-// Engine selects the CPU execution tier a boot runs on.
-type Engine int
-
-const (
-	// EngineAuto is the machine default: predecode with the
-	// superblock tier on top.
-	EngineAuto Engine = iota
-	// EngineReference disables predecode entirely — per-instruction
-	// fetch and full decode, the legacy burst-64 baseline.
-	EngineReference
-	// EnginePredecode runs the predecode cache with the superblock
-	// tier off — the mid-tier the PR-5 benchmarks measured.
-	EnginePredecode
-	// EngineSuperblock is EngineAuto stated explicitly.
-	EngineSuperblock
-)
-
-func (e Engine) String() string {
-	switch e {
-	case EngineReference:
-		return "reference"
-	case EnginePredecode:
-		return "predecode"
-	case EngineSuperblock:
-		return "superblock"
-	default:
-		return "auto"
-	}
 }
 
 // DefaultBoot returns a standard configuration for the flavor: Ultrix
@@ -276,12 +242,6 @@ func Boot(kernelExe *obj.Executable, procs []BootProc, cfg BootConfig) (*System,
 		return nil, fmt.Errorf("kernel: %d boot processes (1..%d allowed)", len(procs), MaxProcs)
 	}
 	mach := machine.New(cfg.RAMBytes, cfg.DiskImage)
-	switch cfg.Engine {
-	case EngineReference:
-		mach.CPU.SetPredecode(false)
-	case EnginePredecode:
-		mach.CPU.SetSuperblocks(false)
-	}
 	if err := mach.LoadKernel(kernelExe); err != nil {
 		return nil, err
 	}

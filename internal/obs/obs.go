@@ -25,9 +25,9 @@
 // emission is a handful of uncontended atomic stores with no locks, no
 // allocation, and no time syscalls; span operations take a mutex but
 // run only at phase boundaries; the profiler costs one branch per
-// dispatch batch. The `make bench-obs` harness (BENCH_obs.json) holds
-// the layer to the paper's own standard: recorder-on throughput within
-// noise of the recorder-off baseline.
+// dispatch batch. BenchmarkBoot (root package) measures the layer by
+// the paper's own standard: its recorder_off and profiler_on cells
+// run beside the default recorder-on boot in the same run.
 package obs
 
 import (

@@ -142,7 +142,27 @@ type engineResult struct {
 	timing    timingCounts
 }
 
-func runEngine(t *testing.T, wl string, engine kernel.Engine, mode runMode) engineResult {
+// tier names a CPU execution tier. A booted machine runs the
+// superblock tier; pinTier turns the upper tiers off so the oracle and
+// BenchmarkBoot can run all three over the same cached images.
+type tier string
+
+const (
+	tierReference  tier = "reference"  // per-instruction fetch and full decode
+	tierPredecode  tier = "predecode"  // predecoded frames, superblocks off
+	tierSuperblock tier = "superblock" // the machine default
+)
+
+func pinTier(sys *kernel.System, t tier) {
+	switch t {
+	case tierReference:
+		sys.M.CPU.SetPredecode(false)
+	case tierPredecode:
+		sys.M.CPU.SetSuperblocks(false)
+	}
+}
+
+func runEngine(t *testing.T, wl string, engine tier, mode runMode) engineResult {
 	t.Helper()
 	spec, ok := workload.ByName(wl)
 	if !ok {
@@ -152,15 +172,7 @@ func runEngine(t *testing.T, wl string, engine kernel.Engine, mode runMode) engi
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Pin the execution tier the same way kernel.Boot applies
-	// BootConfig.Engine (experiment.Boot's cache shares the images, so
-	// the tier is set on the booted machine directly).
-	switch engine {
-	case kernel.EngineReference:
-		sys.M.CPU.SetPredecode(false)
-	case kernel.EnginePredecode:
-		sys.M.CPU.SetSuperblocks(false)
-	}
+	pinTier(sys, engine)
 	obs := &streamObs{}
 	var tm *memsys.Timing
 	switch {
@@ -171,14 +183,14 @@ func runEngine(t *testing.T, wl string, engine kernel.Engine, mode runMode) engi
 		// superblock tier. The tee hashes the stream the model sees.
 		tm = memsys.NewTiming(memsys.DECstation5000())
 		sys.M.AttachTiming(teeObs{tm, obs}, tm)
-	case mode == tracedRun && engine != kernel.EngineSuperblock:
+	case mode == tracedRun && engine != tierSuperblock:
 		// Traced reference and predecode runs also compare the full
 		// Observer event stream. The superblock face runs with the
 		// observer detached — an attached observer keeps StepN out of
 		// the superblock tier — and is instead pinned by the drained
 		// trace-word hash below, the byte-level identity the paper's
 		// analyses depend on. Untraced runs leave the observer
-		// detached, the configuration BENCH_cpu.json measures.
+		// detached, the configuration BenchmarkBoot measures.
 		sys.M.CPU.Obs = obs
 	}
 	// Hash every drained trace word in order: the emitted stream,
@@ -395,9 +407,9 @@ func TestWorkloadDifferentialOracle(t *testing.T) {
 			mode, wl := mode, wl
 			name := wl + "/" + mode.String()
 			t.Run(name, func(t *testing.T) {
-				ref := runEngine(t, wl, kernel.EngineReference, mode)
-				pd := runEngine(t, wl, kernel.EnginePredecode, mode)
-				sb := runEngine(t, wl, kernel.EngineSuperblock, mode)
+				ref := runEngine(t, wl, tierReference, mode)
+				pd := runEngine(t, wl, tierPredecode, mode)
+				sb := runEngine(t, wl, tierSuperblock, mode)
 				compareFace(t, "predecode", ref, pd)
 				compareFace(t, "superblock", ref, sb)
 				if ref.stat.Instret == 0 {

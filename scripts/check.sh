@@ -21,6 +21,16 @@ go build ./...
 echo "== go test ./... =="
 go test ./...
 
+# perfbench is its own module, so the root ./... patterns above never
+# compile it: vet and self-test it here so a root API change cannot
+# silently break the benchmark.
+echo "== perfbench: go vet + self-test (own module) =="
+go -C perfbench vet ./...
+go -C perfbench test -count=1 ./...
+
+echo "== BenchmarkBoot smoke (one iteration of every tier/recorder cell) =="
+go test -run '^$' -bench '^BenchmarkBoot$' -benchtime=1x .
+
 echo "== go test -race (cpu core incl. superblock tier, kernel epoch ring, experiment runner, telemetry, obs, rewriter, verifiers) =="
 go test -race ./internal/cpu/ ./internal/kernel/ ./internal/experiment/ ./internal/telemetry/ ./internal/obs/ ./internal/epoxie/ ./internal/verify/ ./internal/tracecheck/ ./internal/dataflow/
 

@@ -53,14 +53,6 @@ const (
 	Mach   = kernel.Mach
 )
 
-// CPU execution tiers for BootConfig.Engine.
-const (
-	EngineAuto       = kernel.EngineAuto
-	EngineReference  = kernel.EngineReference
-	EnginePredecode  = kernel.EnginePredecode
-	EngineSuperblock = kernel.EngineSuperblock
-)
-
 // Re-exported core types. The underlying packages carry the full
 // documentation.
 type (
@@ -78,8 +70,6 @@ type (
 	BootProc = kernel.BootProc
 	// Flavor selects the operating system personality.
 	Flavor = kernel.Flavor
-	// Engine pins the CPU execution tier for a boot.
-	Engine = kernel.Engine
 	// Event is one reconstructed trace reference.
 	Event = trace.Event
 	// Parser is the trace parsing library.
